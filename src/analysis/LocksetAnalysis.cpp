@@ -6,7 +6,8 @@
 
 #include "analysis/LocksetAnalysis.h"
 
-#include <cassert>
+#include "analysis/CallGraph.h"
+
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -17,59 +18,19 @@ using namespace light::mir;
 
 namespace {
 
-/// The register defined by \p I, or NoReg.
-Reg defRegOf(const Instr &I) {
-  switch (I.Op) {
-  case Opcode::ConstInt:
-  case Opcode::ConstNull:
-  case Opcode::Move:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Mod:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::Not:
-  case Opcode::New:
-  case Opcode::NewArray:
-  case Opcode::MapNew:
-  case Opcode::GetField:
-  case Opcode::GetGlobal:
-  case Opcode::ALoad:
-  case Opcode::ArrayLen:
-  case Opcode::MapGet:
-  case Opcode::MapContains:
-  case Opcode::ThreadStart:
-  case Opcode::SysTime:
-  case Opcode::SysRand:
-  case Opcode::TimedWait:
-  case Opcode::AtomicCas:
-  case Opcode::AtomicXchg:
-  // ChanTryRecv also defines I.B (the value); regs only ever carry ints
-  // through channels, so losing that def costs nothing lock-wise.
-  case Opcode::ChanRecv:
-  case Opcode::ChanTryRecv:
-    return I.A;
-  case Opcode::Call:
-    return I.A; // may be NoReg
-  default:
-    return NoReg;
-  }
-}
-
+/// One bit per lock abstraction; locks past the 64th stay unknown (NoLock).
 using LockMask = uint64_t;
+constexpr size_t MaxLocks = 64;
 
 } // namespace
 
 LocksetAnalysis::LocksetAnalysis(const Program &P) : Prog(P) {
   // --- 1. Lock abstractions: single-assignment globals used as monitors.
+  //        Every write counts, atomic RMWs included.
   std::vector<uint32_t> GlobalWriteCount(P.Globals.size(), 0);
   for (const Function &F : P.Functions)
     for (const Instr &I : F.Body)
-      if (I.Op == Opcode::PutGlobal)
+      if (opInfo(I.Op).Loc == HeapLoc::Global && opInfo(I.Op).writesHeap())
         ++GlobalWriteCount[I.Imm];
 
   // global id -> lock id (only for monitored single-assignment globals).
@@ -82,15 +43,16 @@ LocksetAnalysis::LocksetAnalysis(const Program &P) : Prog(P) {
     const Function &Fn = P.Functions[F];
     std::vector<int> DefCount(Fn.NumRegs, 0);
     std::vector<uint32_t> DefGlobal(Fn.NumRegs, ~0u);
-    for (const Instr &I : Fn.Body) {
-      Reg D = defRegOf(I);
-      if (D == NoReg || D >= Fn.NumRegs)
-        continue;
-      if (++DefCount[D] == 1 && I.Op == Opcode::GetGlobal)
-        DefGlobal[D] = static_cast<uint32_t>(I.Imm);
-      else
-        DefGlobal[D] = ~0u;
-    }
+    for (const Instr &I : Fn.Body)
+      for (unsigned Slot = 0; Slot < 3; ++Slot) {
+        Reg D = I.reg(Slot);
+        if (!opInfo(I.Op).defines(Slot) || D >= Fn.NumRegs)
+          continue;
+        if (++DefCount[D] == 1 && I.Op == Opcode::GetGlobal)
+          DefGlobal[D] = static_cast<uint32_t>(I.Imm);
+        else
+          DefGlobal[D] = ~0u;
+      }
     UniqueGlobalDef[F] = std::move(DefGlobal);
   }
 
@@ -100,12 +62,13 @@ LocksetAnalysis::LocksetAnalysis(const Program &P) : Prog(P) {
     uint32_t G = UniqueGlobalDef[F][I.A];
     if (G == ~0u || GlobalWriteCount[G] != 1)
       return NoLock;
-    auto [It, Inserted] = LockOfGlobal.try_emplace(G, 0);
-    if (Inserted) {
-      It->second = static_cast<LockId>(LockNames.size());
-      LockNames.push_back(Prog.Globals[G]);
-    }
-    return It->second;
+    if (auto It = LockOfGlobal.find(G); It != LockOfGlobal.end())
+      return It->second;
+    if (LockNames.size() == MaxLocks)
+      return NoLock; // the dataflow treats an unknown lock conservatively
+    LockOfGlobal.emplace(G, static_cast<LockId>(LockNames.size()));
+    LockNames.push_back(Prog.Globals[G]);
+    return static_cast<LockId>(LockNames.size() - 1);
   };
 
   // Pre-resolve monitor operands so the number of locks is known.
@@ -119,11 +82,11 @@ LocksetAnalysis::LocksetAnalysis(const Program &P) : Prog(P) {
         MonitorLock[F][I] = LockIdAt(static_cast<FuncId>(F), In);
     }
   }
-  assert(LockNames.size() <= 64 && "lockset bitmask limited to 64 locks");
 
   // --- 2. Flow-sensitive held-lockset propagation per (function, entry
   //        context), with a program-wide per-site intersection.
-  LockMask Top = LockNames.empty() ? 0 : ~0ull >> (64 - LockNames.size());
+  LockMask Top =
+      LockNames.empty() ? 0 : ~0ull >> (MaxLocks - LockNames.size());
 
   Held.resize(P.Functions.size());
   std::vector<std::vector<LockMask>> SiteMask(P.Functions.size());
@@ -203,16 +166,10 @@ LocksetAnalysis::LocksetAnalysis(const Program &P) : Prog(P) {
         SawRet = true;
         continue;
       }
-      if (I.Op == Opcode::Jmp) {
-        Propagate(static_cast<uint32_t>(I.Target), Out);
-        continue;
-      }
-      if (I.Op == Opcode::Br) {
-        Propagate(static_cast<uint32_t>(I.Target), Out);
-        Propagate(static_cast<uint32_t>(I.Target2), Out);
-        continue;
-      }
-      if (Idx + 1 < N)
+      unsigned Targets = opInfo(I.Op).targets();
+      for (unsigned K = 0; K < Targets; ++K)
+        Propagate(static_cast<uint32_t>(I.target(K)), Out);
+      if (!Targets && Idx + 1 < N)
         Propagate(Idx + 1, Out);
     }
 
@@ -252,8 +209,6 @@ GuardSpec LocksetAnalysis::consistentlyGuarded() const {
   // Intersect held locksets across all *shared* accesses of each location
   // abstraction; a nonempty intersection certifies Lemma 4.2's premise.
   std::unordered_map<uint64_t, LockMask> Common; // abstraction -> mask
-  constexpr uint64_t GlobalTag = 1ull << 62;
-  constexpr uint64_t FieldTag = 2ull << 62;
 
   // Simple may-happen-in-parallel facts for the entry function: accesses
   // made while no spawned thread can be alive (before the first start /
@@ -266,21 +221,9 @@ GuardSpec LocksetAnalysis::consistentlyGuarded() const {
     const Function &Fn = Prog.Functions[F];
     for (size_t I = 0; I < Fn.Body.size(); ++I) {
       const Instr &In = Fn.Body[I];
-      uint64_t Abs;
-      switch (In.Op) {
-      case Opcode::GetGlobal:
-      case Opcode::PutGlobal:
-        Abs = GlobalTag | static_cast<uint64_t>(In.Imm);
-        break;
-      case Opcode::GetField:
-      case Opcode::PutField:
-        Abs = FieldTag | static_cast<uint64_t>(In.Imm);
-        break;
-      default:
-        continue;
-      }
-      if (!In.SharedAccess)
-        continue;
+      uint64_t Abs = abstractionOf(In);
+      if (!Abs || Abs == AbsArray || !In.SharedAccess)
+        continue; // GuardSpec names only globals and fields
       if (F == Prog.Entry && I < SoloInMain.size() && SoloInMain[I])
         continue;
       LockMask M = 0;
@@ -296,8 +239,8 @@ GuardSpec LocksetAnalysis::consistentlyGuarded() const {
   for (auto &[Abs, Mask] : Common) {
     if (!Mask)
       continue;
-    if ((Abs >> 62) == 1)
-      Spec.GlobalIds.push_back(Abs & ~GlobalTag);
+    if ((Abs >> 62) == (AbsGlobal >> 62))
+      Spec.GlobalIds.push_back(Abs & ~AbsGlobal);
     else
       Spec.FieldIndices.push_back(static_cast<uint32_t>(Abs & 0xfffff));
   }
@@ -338,16 +281,10 @@ std::vector<bool> LocksetAnalysis::soloSitesInEntry() const {
       ++J;
     if (I.Op == Opcode::Ret)
       continue;
-    if (I.Op == Opcode::Jmp) {
-      Propagate(static_cast<uint32_t>(I.Target), S, J);
-      continue;
-    }
-    if (I.Op == Opcode::Br) {
-      Propagate(static_cast<uint32_t>(I.Target), S, J);
-      Propagate(static_cast<uint32_t>(I.Target2), S, J);
-      continue;
-    }
-    if (Idx + 1 < N)
+    unsigned Targets = opInfo(I.Op).targets();
+    for (unsigned K = 0; K < Targets; ++K)
+      Propagate(static_cast<uint32_t>(I.target(K)), S, J);
+    if (!Targets && Idx + 1 < N)
       Propagate(Idx + 1, S, J);
   }
 

@@ -14,69 +14,10 @@ using namespace light;
 using namespace light::analysis;
 using namespace light::mir;
 
-namespace {
-
-bool isWriteOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::PutGlobal:
-  case Opcode::PutField:
-  case Opcode::AStore:
-  case Opcode::MapPut:
-  case Opcode::MapRemove:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isAccessOp(Opcode Op) { return isHeapAccess(Op); }
-
-uint64_t abstractionOf(const Instr &I) {
-  constexpr uint64_t GlobalTag = 1ull << 62;
-  constexpr uint64_t FieldTag = 2ull << 62;
-  constexpr uint64_t ArrayTag = 3ull << 62;
-  switch (I.Op) {
-  case Opcode::GetGlobal:
-  case Opcode::PutGlobal:
-    return GlobalTag | static_cast<uint64_t>(I.Imm);
-  case Opcode::GetField:
-  case Opcode::PutField:
-    return FieldTag | static_cast<uint64_t>(I.Imm);
-  default:
-    return ArrayTag;
-  }
-}
-
-} // namespace
-
 std::vector<RacePair> light::analysis::detectRaces(const Program &P,
                                                    const LocksetAnalysis &LA) {
-  CallGraph CG(P);
-  std::vector<std::pair<FuncId, uint32_t>> Entries = threadEntries(P);
-
-  struct ClassInfo {
-    std::vector<bool> Reach;
-    bool Multi;
-  };
-  std::vector<ClassInfo> Classes;
-  Classes.push_back({CG.reachableFrom({P.Entry}), false});
-  for (auto &[Entry, Sites] : Entries)
-    Classes.push_back({CG.reachableFrom({Entry}), true});
-
-  auto ClassMask = [&](FuncId F) {
-    uint32_t Mask = 0;
-    for (size_t C = 0; C < Classes.size(); ++C)
-      if (Classes[C].Reach[F])
-        Mask |= 1u << C;
-    return Mask;
-  };
-  auto MultiMask = [&] {
-    uint32_t Mask = 0;
-    for (size_t C = 0; C < Classes.size(); ++C)
-      if (Classes[C].Multi)
-        Mask |= 1u << C;
-    return Mask;
-  }();
+  std::vector<uint32_t> ClassMasks = threadClassMasks(P);
+  constexpr uint32_t MultiMask = ~1u; // every spawned class
 
   // Gather shared access sites per abstraction, with lockset masks.
   struct Site {
@@ -88,10 +29,11 @@ std::vector<RacePair> light::analysis::detectRaces(const Program &P,
   std::unordered_map<uint64_t, std::vector<Site>> ByAbs;
   for (size_t F = 0; F < P.Functions.size(); ++F) {
     const Function &Fn = P.Functions[F];
-    uint32_t Mask = ClassMask(static_cast<FuncId>(F));
+    uint32_t Mask = ClassMasks[F];
     for (size_t I = 0; I < Fn.Body.size(); ++I) {
       const Instr &In = Fn.Body[I];
-      if (!isAccessOp(In.Op) || !In.SharedAccess)
+      uint64_t Abs = abstractionOf(In);
+      if (!Abs || !In.SharedAccess)
         continue;
       // Entry-function accesses while no spawned thread is alive cannot
       // race (main's init/teardown idiom).
@@ -100,11 +42,10 @@ std::vector<RacePair> light::analysis::detectRaces(const Program &P,
       uint64_t LockMask = 0;
       for (auto L : LA.heldAt(static_cast<FuncId>(F), static_cast<uint32_t>(I)))
         LockMask |= 1ull << L;
-      ByAbs[abstractionOf(In)].push_back(
-          {{static_cast<FuncId>(F), static_cast<uint32_t>(I),
-            isWriteOp(In.Op)},
-           LockMask,
-           Mask});
+      ByAbs[Abs].push_back({{static_cast<FuncId>(F), static_cast<uint32_t>(I),
+                             opInfo(In.Op).writesHeap()},
+                            LockMask,
+                            Mask});
     }
   }
 

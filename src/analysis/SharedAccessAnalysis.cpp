@@ -8,114 +8,63 @@
 
 #include "analysis/CallGraph.h"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace light;
 using namespace light::analysis;
 using namespace light::mir;
 
-CallGraph::CallGraph(const Program &P) {
-  Callees.resize(P.Functions.size());
+std::vector<uint32_t> light::analysis::threadClassMasks(const Program &P) {
+  std::vector<std::vector<FuncId>> Callees(P.Functions.size());
+  std::vector<FuncId> Roots{P.Entry};
   for (size_t F = 0; F < P.Functions.size(); ++F)
-    for (const Instr &I : P.Functions[F].Body)
-      if (I.Op == Opcode::Call || I.Op == Opcode::ThreadStart)
-        Callees[F].push_back(static_cast<FuncId>(I.Imm));
-}
+    for (const Instr &I : P.Functions[F].Body) {
+      ImmRole Role = opInfo(I.Op).Imm;
+      if (Role != ImmRole::Func && Role != ImmRole::Entry)
+        continue;
+      FuncId Callee = static_cast<FuncId>(I.Imm);
+      Callees[F].push_back(Callee);
+      if (Role == ImmRole::Entry &&
+          std::find(Roots.begin() + 1, Roots.end(), Callee) == Roots.end())
+        Roots.push_back(Callee);
+    }
 
-std::vector<bool>
-CallGraph::reachableFrom(const std::vector<FuncId> &Roots) const {
-  std::vector<bool> Seen(Callees.size(), false);
-  std::vector<FuncId> Work(Roots);
-  for (FuncId R : Roots)
-    Seen[R] = true;
-  while (!Work.empty()) {
-    FuncId F = Work.back();
-    Work.pop_back();
-    for (FuncId C : Callees[F])
-      if (!Seen[C]) {
-        Seen[C] = true;
-        Work.push_back(C);
-      }
+  // Spawned classes past the 31st share the last bit: every spawned class
+  // already counts as two threads, so merging them loses nothing.
+  std::vector<uint32_t> Masks(P.Functions.size(), 0);
+  for (size_t C = 0; C < Roots.size(); ++C) {
+    uint32_t Bit = 1u << std::min<size_t>(C, 31);
+    Masks[Roots[C]] |= Bit;
+    std::vector<FuncId> Work{Roots[C]};
+    while (!Work.empty()) {
+      FuncId F = Work.back();
+      Work.pop_back();
+      for (FuncId Callee : Callees[F])
+        if (!(Masks[Callee] & Bit)) {
+          Masks[Callee] |= Bit;
+          Work.push_back(Callee);
+        }
+    }
   }
-  return Seen;
+  return Masks;
 }
-
-std::vector<std::pair<FuncId, uint32_t>>
-light::analysis::threadEntries(const Program &P) {
-  std::unordered_map<FuncId, uint32_t> Sites;
-  for (const Function &F : P.Functions)
-    for (const Instr &I : F.Body)
-      if (I.Op == Opcode::ThreadStart)
-        ++Sites[static_cast<FuncId>(I.Imm)];
-  std::vector<std::pair<FuncId, uint32_t>> Out(Sites.begin(), Sites.end());
-  return Out;
-}
-
-namespace {
-
-/// Coarse location abstraction: kind tag in the top bits.
-enum AbsKind : uint64_t {
-  AbsGlobal = 1ull << 62,
-  AbsField = 2ull << 62,
-  AbsArray = 3ull << 62, // single abstraction for all array/map contents
-};
-
-uint64_t abstractionOf(const Instr &I) {
-  switch (I.Op) {
-  case Opcode::GetGlobal:
-  case Opcode::PutGlobal:
-  case Opcode::AtomicCas:
-  case Opcode::AtomicXchg:
-    return AbsGlobal | static_cast<uint64_t>(I.Imm);
-  case Opcode::GetField:
-  case Opcode::PutField:
-    return AbsField | static_cast<uint64_t>(I.Imm);
-  case Opcode::ALoad:
-  case Opcode::AStore:
-  case Opcode::MapGet:
-  case Opcode::MapPut:
-  case Opcode::MapContains:
-  case Opcode::MapRemove:
-    return AbsArray;
-  default:
-    return 0;
-  }
-}
-
-} // namespace
 
 SharedAccessStats light::analysis::markSharedAccesses(Program &P) {
-  CallGraph CG(P);
-
   // Thread classes: main, plus every ThreadStart target. A class spawned
   // from a site that may execute repeatedly is conservatively treated as
   // multi-instance; MIR has loops, so any spawned class counts as
   // multi-instance unless proven otherwise — we keep the conservative
   // reading and only rely on the cross-class criterion below plus the
   // multi-instance flag for spawned classes.
-  std::vector<std::pair<FuncId, uint32_t>> Entries = threadEntries(P);
-
-  struct ClassInfo {
-    std::vector<bool> Reach;
-    bool MultiInstance;
-  };
-  std::vector<ClassInfo> Classes;
-  Classes.push_back({CG.reachableFrom({P.Entry}), false}); // main
-  for (auto &[Entry, Sites] : Entries)
-    Classes.push_back({CG.reachableFrom({Entry}), true});
+  std::vector<uint32_t> ClassMasks = threadClassMasks(P);
 
   // Which thread classes access each abstraction.
   std::unordered_map<uint64_t, uint32_t> AccessedBy; // abstraction -> bitmask
   std::unordered_map<uint64_t, bool> MultiAccess;    // by a multi-instance?
   for (size_t F = 0; F < P.Functions.size(); ++F) {
-    uint32_t Mask = 0;
-    bool Multi = false;
-    for (size_t C = 0; C < Classes.size(); ++C)
-      if (Classes[C].Reach[F]) {
-        Mask |= 1u << C;
-        Multi |= Classes[C].MultiInstance;
-      }
+    uint32_t Mask = ClassMasks[F];
+    bool Multi = (Mask & ~1u) != 0; // a spawned class reaches F
     for (const Instr &I : P.Functions[F].Body) {
       uint64_t Abs = abstractionOf(I);
       if (!Abs)

@@ -6,6 +6,8 @@
 
 #include "baselines/ChimeraEngine.h"
 
+#include "mir/OpTable.h"
+
 #include "obs/Metrics.h"
 
 #include <algorithm>
@@ -45,10 +47,8 @@ void wrapFunction(Function &Fn, uint32_t LockGlobal) {
                      .Imm = static_cast<int64_t>(LockGlobal)});
   NewBody.push_back({.Op = Opcode::MonitorEnter, .A = LockReg});
   for (Instr I : Fn.Body) {
-    if (I.Op == Opcode::Jmp || I.Op == Opcode::Br)
-      I.Target = NewIndex[I.Target];
-    if (I.Op == Opcode::Br)
-      I.Target2 = NewIndex[I.Target2];
+    for (unsigned K = 0; K < opInfo(I.Op).targets(); ++K)
+      I.target(K) = NewIndex[I.target(K)];
     if (I.Op == Opcode::Ret)
       NewBody.push_back({.Op = Opcode::MonitorExit, .A = LockReg});
     NewBody.push_back(std::move(I));
@@ -62,10 +62,8 @@ void prependInstrs(Function &Fn, const std::vector<Instr> &Prologue) {
   std::vector<Instr> NewBody(Prologue.begin(), Prologue.end());
   NewBody.reserve(Fn.Body.size() + Prologue.size());
   for (Instr I : Fn.Body) {
-    if (I.Op == Opcode::Jmp || I.Op == Opcode::Br)
-      I.Target += Shift;
-    if (I.Op == Opcode::Br)
-      I.Target2 += Shift;
+    for (unsigned K = 0; K < opInfo(I.Op).targets(); ++K)
+      I.target(K) += Shift;
     NewBody.push_back(std::move(I));
   }
   Fn.Body = std::move(NewBody);

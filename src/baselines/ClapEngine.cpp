@@ -21,11 +21,14 @@
 //      schedule.
 //
 // Any operation without solver support aborts the analysis as Unsupported —
-// the inherent limitation Section 5.3 evaluates.
+// the inherent limitation Section 5.3 evaluates. Opcodes wholly outside the
+// model carry their note in the opcode table (mir/OpTable.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "baselines/ClapEngine.h"
+
+#include "mir/OpTable.h"
 
 #include "obs/Metrics.h"
 
@@ -440,9 +443,16 @@ void SymbolicRun::execThread(ThreadExec &T) {
       F.Regs[I.A] = SymVal::sym(mkExpr({Op, 0, exprOf(A), exprOf(B)}));
     };
 
+    if (const char *Why = opInfo(I.Op).ClapBail) {
+      bail(Why);
+      return;
+    }
+
     switch (I.Op) {
     case Opcode::Nop:
-      ++F.PC;
+    case Opcode::Print:
+    case Opcode::BurnCpu:
+      ++F.PC; // no shared effect
       break;
     case Opcode::ConstInt:
       F.Regs[I.A] = SymVal::conc(Value::intVal(I.Imm));
@@ -583,16 +593,6 @@ void SymbolicRun::execThread(ThreadExec &T) {
       break;
     }
 
-    case Opcode::MapNew:
-    case Opcode::MapPut:
-    case Opcode::MapGet:
-    case Opcode::MapContains:
-    case Opcode::MapRemove:
-      // The paper's headline limitation: "data types that do not have
-      // native solver support, such as HashMap".
-      bail("hash-map intrinsic (no native solver support)");
-      return;
-
     case Opcode::GetField: {
       ObjectId Obj;
       if (!requireConcreteRef(F.Regs[I.B], Obj, "field base"))
@@ -721,49 +721,6 @@ void SymbolicRun::execThread(ThreadExec &T) {
       break;
     }
 
-    case Opcode::Wait:
-    case Opcode::Notify:
-    case Opcode::NotifyAll:
-      bail("wait/notify outside the symbolic model");
-      return;
-
-    case Opcode::TimedWait:
-      // Strictly harder than wait/notify: the timeout arm depends on the
-      // schedule, which per-thread re-execution cannot see.
-      bail("timed wait outside the symbolic model");
-      return;
-
-    case Opcode::RwRdLock:
-    case Opcode::RwRdUnlock:
-    case Opcode::RwWrLock:
-    case Opcode::RwWrUnlock:
-      // Encoding shared/exclusive admission would need a dedicated theory;
-      // treating them as plain mutexes would forbid feasible schedules
-      // (concurrent readers), so bail instead of risking bogus UNSAT.
-      bail("read-write locks outside the symbolic model");
-      return;
-
-    case Opcode::BarrierInit:
-    case Opcode::BarrierWait:
-      bail("barriers outside the symbolic model");
-      return;
-
-    case Opcode::AtomicCas:
-    case Opcode::AtomicXchg:
-      // The success arm of a CAS is schedule-dependent; modeling it would
-      // need totally-ordered RMW events, which this encoding lacks.
-      bail("lock-free atomics outside the symbolic model");
-      return;
-
-    case Opcode::ChanMake:
-    case Opcode::ChanSend:
-    case Opcode::ChanRecv:
-    case Opcode::ChanTryRecv:
-      // Message passing pairs a send with a schedule-chosen receive; the
-      // path-constraint encoding has no ordered message store to draw on.
-      bail("channel operations outside the symbolic model");
-      return;
-
     case Opcode::ThreadStart: {
       uint64_t Key = (static_cast<uint64_t>(T.Id) << 32) | T.SpawnCount++;
       auto It = SpawnTable.find(Key);
@@ -829,11 +786,7 @@ void SymbolicRun::execThread(ThreadExec &T) {
       break;
     }
 
-    case Opcode::Print:
-      ++F.PC;
-      break;
-    case Opcode::BurnCpu:
-      ++F.PC;
+    default: // outside the model; bailed above
       break;
     }
   }

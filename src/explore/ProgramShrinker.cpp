@@ -7,6 +7,7 @@
 #include "explore/ProgramShrinker.h"
 
 #include "explore/ExploreSchedulers.h"
+#include "mir/OpTable.h"
 #include "mir/Parser.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -29,35 +30,6 @@ uint32_t light::explore::statementCount(const Program &P) {
 }
 
 namespace {
-
-/// Instructions the statement pass may neutralize on its own. Control flow,
-/// thread structure, and monitor pairing are handled by dedicated passes
-/// (or kept) so most probes stay well-formed and terminating.
-bool droppableStatement(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::Ret:
-  case Opcode::Jmp:
-  case Opcode::Br:
-  case Opcode::ThreadStart:
-  case Opcode::ThreadJoin:
-  case Opcode::MonitorEnter:
-  case Opcode::MonitorExit:
-  case Opcode::RwRdLock:
-  case Opcode::RwRdUnlock:
-  case Opcode::RwWrLock:
-  case Opcode::RwWrUnlock:
-  case Opcode::BarrierWait:
-  // Blocking channel endpoints pair up like monitors: dropping one side of
-  // a send/recv pair turns the probe into a deadlock, not a smaller
-  // reproducer. The non-blocking ChanTryRecv stays droppable.
-  case Opcode::ChanSend:
-  case Opcode::ChanRecv:
-    return false;
-  default:
-    return true;
-  }
-}
 
 /// A statement site: function index + instruction index.
 struct Site {
@@ -223,12 +195,16 @@ private:
     return Changed;
   }
 
+  /// Statements the statement pass may neutralize on its own. Structural
+  /// ones (control flow, thread structure, lock and rendezvous pairing) are
+  /// handled by dedicated passes or kept, so most probes stay well-formed
+  /// and terminating.
   std::vector<Site> candidates() const {
     std::vector<Site> Out;
     for (uint32_t Fn = 0; Fn < Best.Functions.size(); ++Fn) {
       const std::vector<Instr> &Body = Best.Functions[Fn].Body;
       for (uint32_t I = 0; I < Body.size(); ++I)
-        if (droppableStatement(Body[I].Op))
+        if (!opInfo(Body[I].Op).Structural)
           Out.push_back({Fn, I});
     }
     return Out;
@@ -308,24 +284,14 @@ private:
           Next = static_cast<int32_t>(--Survivors);
         NewIndex[I] = Next;
       }
-      for (Instr &I : Compacted) {
-        if (I.Op != Opcode::Jmp && I.Op != Opcode::Br)
-          continue;
-        int32_t T = I.Target >= 0 && static_cast<size_t>(I.Target) <
-                                         F.Body.size()
-                        ? NewIndex[I.Target]
-                        : -1;
-        int32_t T2 = -1;
-        if (I.Op == Opcode::Br)
-          T2 = I.Target2 >= 0 &&
-                       static_cast<size_t>(I.Target2) < F.Body.size()
-                   ? NewIndex[I.Target2]
-                   : -1;
-        if (T < 0 || (I.Op == Opcode::Br && T2 < 0))
-          return; // a branch would fall off the end; keep the Nop form
-        I.Target = T;
-        I.Target2 = T2;
-      }
+      for (Instr &I : Compacted)
+        for (unsigned K = 0; K < opInfo(I.Op).targets(); ++K) {
+          int32_t &T = I.target(K);
+          if (T < 0 || static_cast<size_t>(T) >= F.Body.size() ||
+              NewIndex[T] < 0)
+            return; // a branch would fall off the end; keep the Nop form
+          T = NewIndex[T];
+        }
       F.Body = std::move(Compacted);
     }
     if (probe(Cand, Sched))

@@ -21,6 +21,7 @@
 #ifndef LIGHT_MIR_INSTR_H
 #define LIGHT_MIR_INSTR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,10 +136,13 @@ enum class Opcode : uint8_t {
   // Miscellaneous.
   Print,   ///< append value A to the machine's output transcript
   BurnCpu, ///< spin for Imm units of local work (workload kernels)
-  Nop,
+  Nop,     ///< keep last: NumOpcodes counts up to it
 };
 
-/// One MIR instruction. Field roles depend on the opcode; see Opcode docs.
+constexpr size_t NumOpcodes = static_cast<size_t>(Opcode::Nop) + 1;
+
+/// One MIR instruction. Field roles depend on the opcode; see Opcode docs
+/// and the opcode table (mir/OpTable.h).
 struct Instr {
   Opcode Op = Opcode::Nop;
   Reg A = 0;
@@ -154,18 +158,14 @@ struct Instr {
   /// location restriction). Meaningful only for heap/global/map opcodes.
   bool SharedAccess = true;
 
+  /// Register slot 0, 1 or 2 (A, B, C).
+  Reg reg(unsigned Slot) const { return Slot == 0 ? A : Slot == 1 ? B : C; }
+  /// Branch target 0 or 1 (Target, Target2).
+  int32_t &target(unsigned K) { return K == 0 ? Target : Target2; }
+  int32_t target(unsigned K) const { return K == 0 ? Target : Target2; }
+
   std::string str() const;
 };
-
-/// Returns the mnemonic of \p Op.
-const char *opcodeName(Opcode Op);
-
-/// Returns true if \p Op reads or writes the global heap (and is therefore
-/// subject to instrumentation when marked shared).
-bool isHeapAccess(Opcode Op);
-
-/// Returns true if \p Op is a synchronization or threading operation.
-bool isSyncOp(Opcode Op);
 
 } // namespace mir
 } // namespace light

@@ -6,6 +6,8 @@
 
 #include "mir/Parser.h"
 
+#include "mir/OpTable.h"
+
 #include <cctype>
 #include <cstring>
 #include <cstdlib>
@@ -122,50 +124,11 @@ public:
 const std::unordered_map<std::string, Opcode> &mnemonicTable() {
   static const std::unordered_map<std::string, Opcode> Table = [] {
     std::unordered_map<std::string, Opcode> T;
-    for (int Op = 0; Op <= static_cast<int>(Opcode::Nop); ++Op)
-      T[opcodeName(static_cast<Opcode>(Op))] = static_cast<Opcode>(Op);
+    for (const OpInfo &Info : optable::Rows)
+      T[Info.Mnemonic] = Info.Op;
     return T;
   }();
   return Table;
-}
-
-/// Operand shape groups, mirroring Instr::str().
-enum class Shape { DstImm, Jump, Branch, Call, RegRegImm, ThreeRegImm,
-                   ThreeReg };
-
-Shape shapeOf(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstInt:
-    return Shape::DstImm;
-  case Opcode::Jmp:
-    return Shape::Jump;
-  case Opcode::Br:
-    return Shape::Branch;
-  case Opcode::Call:
-    return Shape::Call;
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::GetGlobal:
-  case Opcode::PutGlobal:
-  case Opcode::New:
-  case Opcode::AssertTrue:
-  case Opcode::AssertNonNull:
-  case Opcode::ThreadStart:
-  case Opcode::SysRand:
-  case Opcode::BurnCpu:
-  case Opcode::BarrierInit:
-  case Opcode::TimedWait:
-  case Opcode::AtomicXchg:
-  case Opcode::ChanMake:
-  case Opcode::ChanSend:
-  case Opcode::ChanRecv:
-  case Opcode::ChanTryRecv:
-    return Shape::RegRegImm;
-  case Opcode::AtomicCas:
-    return Shape::ThreeRegImm;
-  default:
-    return Shape::ThreeReg;
-  }
 }
 
 } // namespace
@@ -276,7 +239,7 @@ ParseResult light::mir::parseProgram(const std::string &Text) {
       Instr I;
       I.Op = It->second;
 
-      switch (shapeOf(I.Op)) {
+      switch (opInfo(I.Op).Form) {
       case Shape::DstImm:
         if (!C.reg(I.A) || !C.literal(",") || !C.integer(I.Imm))
           return Fail("expected `" + Mnemonic + " rA, imm`");

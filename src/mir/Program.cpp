@@ -6,228 +6,39 @@
 
 #include "mir/Program.h"
 
+#include "mir/OpTable.h"
+
 using namespace light;
 using namespace light::mir;
 
-const char *light::mir::opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstInt:
-    return "const";
-  case Opcode::ConstNull:
-    return "null";
-  case Opcode::Move:
-    return "move";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::Div:
-    return "div";
-  case Opcode::Mod:
-    return "mod";
-  case Opcode::CmpEq:
-    return "cmpeq";
-  case Opcode::CmpNe:
-    return "cmpne";
-  case Opcode::CmpLt:
-    return "cmplt";
-  case Opcode::CmpLe:
-    return "cmple";
-  case Opcode::Not:
-    return "not";
-  case Opcode::Jmp:
-    return "jmp";
-  case Opcode::Br:
-    return "br";
-  case Opcode::Call:
-    return "call";
-  case Opcode::Ret:
-    return "ret";
-  case Opcode::New:
-    return "new";
-  case Opcode::GetField:
-    return "getfield";
-  case Opcode::PutField:
-    return "putfield";
-  case Opcode::GetGlobal:
-    return "getglobal";
-  case Opcode::PutGlobal:
-    return "putglobal";
-  case Opcode::NewArray:
-    return "newarray";
-  case Opcode::ALoad:
-    return "aload";
-  case Opcode::AStore:
-    return "astore";
-  case Opcode::ArrayLen:
-    return "arraylen";
-  case Opcode::MapNew:
-    return "mapnew";
-  case Opcode::MapPut:
-    return "mapput";
-  case Opcode::MapGet:
-    return "mapget";
-  case Opcode::MapContains:
-    return "mapcontains";
-  case Opcode::MapRemove:
-    return "mapremove";
-  case Opcode::MonitorEnter:
-    return "monitorenter";
-  case Opcode::MonitorExit:
-    return "monitorexit";
-  case Opcode::Wait:
-    return "wait";
-  case Opcode::Notify:
-    return "notify";
-  case Opcode::NotifyAll:
-    return "notifyall";
-  case Opcode::RwRdLock:
-    return "rwrdlock";
-  case Opcode::RwRdUnlock:
-    return "rwrdunlock";
-  case Opcode::RwWrLock:
-    return "rwwrlock";
-  case Opcode::RwWrUnlock:
-    return "rwwrunlock";
-  case Opcode::BarrierInit:
-    return "barrierinit";
-  case Opcode::BarrierWait:
-    return "barrierwait";
-  case Opcode::TimedWait:
-    return "timedwait";
-  case Opcode::AtomicCas:
-    return "cas";
-  case Opcode::AtomicXchg:
-    return "xchg";
-  case Opcode::ChanMake:
-    return "chanmake";
-  case Opcode::ChanSend:
-    return "send";
-  case Opcode::ChanRecv:
-    return "recv";
-  case Opcode::ChanTryRecv:
-    return "tryrecv";
-  case Opcode::ThreadStart:
-    return "start";
-  case Opcode::ThreadJoin:
-    return "join";
-  case Opcode::AssertTrue:
-    return "assert";
-  case Opcode::AssertNonNull:
-    return "assertnonnull";
-  case Opcode::SysTime:
-    return "systime";
-  case Opcode::SysRand:
-    return "sysrand";
-  case Opcode::Print:
-    return "print";
-  case Opcode::BurnCpu:
-    return "burncpu";
-  case Opcode::Nop:
-    return "nop";
-  }
-  return "<bad-op>";
-}
-
-bool light::mir::isHeapAccess(Opcode Op) {
-  switch (Op) {
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::GetGlobal:
-  case Opcode::PutGlobal:
-  case Opcode::ALoad:
-  case Opcode::AStore:
-  case Opcode::MapPut:
-  case Opcode::MapGet:
-  case Opcode::MapContains:
-  case Opcode::MapRemove:
-  case Opcode::AtomicCas:
-  case Opcode::AtomicXchg:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool light::mir::isSyncOp(Opcode Op) {
-  switch (Op) {
-  case Opcode::MonitorEnter:
-  case Opcode::MonitorExit:
-  case Opcode::Wait:
-  case Opcode::Notify:
-  case Opcode::NotifyAll:
-  case Opcode::RwRdLock:
-  case Opcode::RwRdUnlock:
-  case Opcode::RwWrLock:
-  case Opcode::RwWrUnlock:
-  case Opcode::BarrierInit:
-  case Opcode::BarrierWait:
-  case Opcode::TimedWait:
-  case Opcode::ChanMake:
-  case Opcode::ChanSend:
-  case Opcode::ChanRecv:
-  case Opcode::ChanTryRecv:
-  case Opcode::ThreadStart:
-  case Opcode::ThreadJoin:
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::string Instr::str() const {
-  std::string Out = opcodeName(Op);
+  const OpInfo &Info = opInfo(Op);
+  std::string Out = Info.Mnemonic;
   auto R = [](Reg X) {
     return X == NoReg ? std::string("_") : "r" + std::to_string(X);
   };
-  switch (Op) {
-  case Opcode::ConstInt:
-    Out += " " + R(A) + ", " + std::to_string(Imm);
-    break;
-  case Opcode::Jmp:
-    Out += " @" + std::to_string(Target);
-    break;
-  case Opcode::Br:
-    Out += " " + R(A) + ", @" + std::to_string(Target) + ", @" +
+  auto HashImm = [this] { return ", #" + std::to_string(Imm); };
+  switch (Info.Form) {
+  case Shape::DstImm:
+    return Out + " " + R(A) + ", " + std::to_string(Imm);
+  case Shape::Jump:
+    return Out + " @" + std::to_string(Target);
+  case Shape::Branch:
+    return Out + " " + R(A) + ", @" + std::to_string(Target) + ", @" +
            std::to_string(Target2);
-    break;
-  case Opcode::Call: {
+  case Shape::Call:
     Out += " " + R(A) + ", f" + std::to_string(Imm) + "(";
     for (size_t I = 0; I < Args.size(); ++I)
       Out += (I ? ", " : "") + R(Args[I]);
-    Out += ")";
+    return Out + ")";
+  case Shape::RegRegImm:
+    return Out + " " + R(A) + ", " + R(B) + HashImm();
+  case Shape::ThreeRegImm:
+    return Out + " " + R(A) + ", " + R(B) + ", " + R(C) + HashImm();
+  case Shape::ThreeReg:
     break;
   }
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::GetGlobal:
-  case Opcode::PutGlobal:
-  case Opcode::New:
-  case Opcode::AssertTrue:
-  case Opcode::AssertNonNull:
-  case Opcode::ThreadStart:
-  case Opcode::SysRand:
-  case Opcode::BurnCpu:
-  case Opcode::BarrierInit:
-  case Opcode::TimedWait:
-  case Opcode::AtomicXchg:
-  case Opcode::ChanMake:
-  case Opcode::ChanSend:
-  case Opcode::ChanRecv:
-  case Opcode::ChanTryRecv:
-    Out += " " + R(A) + ", " + R(B) + ", #" + std::to_string(Imm);
-    break;
-  case Opcode::AtomicCas:
-    Out += " " + R(A) + ", " + R(B) + ", " + R(C) + ", #" +
-           std::to_string(Imm);
-    break;
-  default:
-    Out += " " + R(A) + ", " + R(B) + ", " + R(C);
-    break;
-  }
-  return Out;
+  return Out + " " + R(A) + ", " + R(B) + ", " + R(C);
 }
 
 FuncId Program::findFunction(const std::string &Name) const {
@@ -236,6 +47,84 @@ FuncId Program::findFunction(const std::string &Name) const {
       return static_cast<FuncId>(I);
   return ~0u;
 }
+
+namespace {
+
+/// The first operand of \p I that does not fit \p F in \p P, described,
+/// or "" when every operand fits the roles the opcode table gives it.
+std::string operandError(const Program &P, const Function &F,
+                         const Instr &I) {
+  const OpInfo &Info = opInfo(I.Op);
+  auto InRange = [&](Reg X) { return X < F.NumRegs; };
+  for (unsigned Slot = 0; Slot < 3; ++Slot) {
+    RegRole Role = Info.Regs[Slot];
+    Reg X = I.reg(Slot);
+    bool MayBeNone = Role == RegRole::Spare || Role == RegRole::UseOpt ||
+                     Role == RegRole::DefOpt;
+    if (Role == RegRole::None || InRange(X) || (MayBeNone && X == NoReg))
+      continue;
+    return std::string("operand ") + "ABC"[Slot] +
+           (X == NoReg ? " must name a register, not `_`"
+                       : " register out of range");
+  }
+
+  for (unsigned K = 0; K < Info.targets(); ++K)
+    if (I.target(K) < 0 || static_cast<size_t>(I.target(K)) >= F.Body.size())
+      return "branch target out of range";
+
+  auto Indexes = [&](size_t Size) {
+    return I.Imm >= 0 && static_cast<uint64_t>(I.Imm) < Size;
+  };
+  switch (Info.Imm) {
+  case ImmRole::None:
+  case ImmRole::Field:
+    break;
+  case ImmRole::Func: {
+    if (!Indexes(P.Functions.size()))
+      return "call of unknown function";
+    const Function &Callee = P.Functions[I.Imm];
+    if (I.Args.size() != Callee.NumParams)
+      return "call arity mismatch for '" + Callee.Name + "'";
+    for (Reg Arg : I.Args)
+      if (!InRange(Arg))
+        return "call argument register out of range";
+    break;
+  }
+  case ImmRole::Entry: {
+    if (!Indexes(P.Functions.size()))
+      return "thread start of unknown function";
+    uint16_t Params = P.Functions[I.Imm].NumParams;
+    if (Params > 1)
+      return "thread entry takes at most one parameter";
+    if (Params == 1 && I.B == NoReg)
+      return "thread entry expects an argument";
+    break;
+  }
+  case ImmRole::Class:
+    if (!Indexes(P.Classes.size()))
+      return "unknown class";
+    break;
+  case ImmRole::Global:
+    if (!Indexes(P.Globals.size()))
+      return "unknown global";
+    break;
+  case ImmRole::Channel:
+    if (!Indexes(P.Channels.size()))
+      return "unknown channel";
+    break;
+  case ImmRole::Parties:
+    if (I.Imm < 1)
+      return "barrier must have at least one party";
+    break;
+  case ImmRole::Ticks:
+    if (I.Imm < 0)
+      return "deadline must be non-negative";
+    break;
+  }
+  return std::string();
+}
+
+} // namespace
 
 std::string Program::verify() const {
   auto Err = [](const std::string &Where, const std::string &What) {
@@ -255,110 +144,13 @@ std::string Program::verify() const {
     if (F.Body.back().Op != Opcode::Ret && F.Body.back().Op != Opcode::Jmp)
       return Err(Where, "body does not end in ret or jmp");
 
-    int64_t N = static_cast<int64_t>(F.Body.size());
     for (size_t II = 0; II < F.Body.size(); ++II) {
       const Instr &I = F.Body[II];
-      std::string At = Where + " @" + std::to_string(II);
-
-      auto CheckReg = [&](Reg X, bool AllowNone) -> bool {
-        return (AllowNone && X == NoReg) || X < F.NumRegs;
-      };
-
-      switch (I.Op) {
-      case Opcode::Jmp:
-        if (I.Target < 0 || I.Target >= N)
-          return Err(At, "jmp target out of range");
-        break;
-      case Opcode::Br:
-        if (I.Target < 0 || I.Target >= N || I.Target2 < 0 || I.Target2 >= N)
-          return Err(At, "br target out of range");
-        if (!CheckReg(I.A, false))
-          return Err(At, "condition register out of range");
-        break;
-      case Opcode::Call: {
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Functions.size())
-          return Err(At, "call of unknown function");
-        const Function &Callee = Functions[I.Imm];
-        if (I.Args.size() != Callee.NumParams)
-          return Err(At, "call arity mismatch for '" + Callee.Name + "'");
-        for (Reg Arg : I.Args)
-          if (!CheckReg(Arg, false))
-            return Err(At, "call argument register out of range");
-        if (!CheckReg(I.A, true))
-          return Err(At, "call result register out of range");
-        break;
-      }
-      case Opcode::Ret:
-        if (!CheckReg(I.A, true))
-          return Err(At, "return register out of range");
-        break;
-      case Opcode::New:
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Classes.size())
-          return Err(At, "new of unknown class");
-        if (!CheckReg(I.A, false))
-          return Err(At, "destination register out of range");
-        break;
-      case Opcode::GetField:
-      case Opcode::PutField:
-        if (!CheckReg(I.A, false) || !CheckReg(I.B, false))
-          return Err(At, "field access register out of range");
-        break;
-      case Opcode::GetGlobal:
-      case Opcode::PutGlobal:
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Globals.size())
-          return Err(At, "unknown global");
-        if (!CheckReg(I.A, false))
-          return Err(At, "global access register out of range");
-        break;
-      case Opcode::BarrierInit:
-        if (I.Imm < 1)
-          return Err(At, "barrier must have at least one party");
-        if (!CheckReg(I.A, false))
-          return Err(At, "barrier register out of range");
-        break;
-      case Opcode::TimedWait:
-        if (I.Imm < 0)
-          return Err(At, "timed wait deadline must be non-negative");
-        if (!CheckReg(I.A, false) || !CheckReg(I.B, false))
-          return Err(At, "timed wait register out of range");
-        break;
-      case Opcode::AtomicCas:
-      case Opcode::AtomicXchg:
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Globals.size())
-          return Err(At, "unknown global");
-        if (!CheckReg(I.A, false) || !CheckReg(I.B, false) ||
-            !CheckReg(I.C, I.Op == Opcode::AtomicXchg))
-          return Err(At, "atomic access register out of range");
-        break;
-      case Opcode::ChanMake:
-      case Opcode::ChanSend:
-      case Opcode::ChanRecv:
-      case Opcode::ChanTryRecv:
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Channels.size())
-          return Err(At, "unknown channel");
-        if (!CheckReg(I.A, false))
-          return Err(At, "channel register out of range");
-        if (!CheckReg(I.B, I.Op != Opcode::ChanTryRecv))
-          return Err(At, "channel value register out of range");
-        break;
-      case Opcode::ThreadStart:
-        if (I.Imm < 0 || static_cast<size_t>(I.Imm) >= Functions.size())
-          return Err(At, "thread start of unknown function");
-        if (Functions[I.Imm].NumParams > 1)
-          return Err(At, "thread entry takes at most one parameter");
-        if (Functions[I.Imm].NumParams == 1 && I.B == NoReg)
-          return Err(At, "thread entry expects an argument");
-        if (!CheckReg(I.A, false) || !CheckReg(I.B, true))
-          return Err(At, "thread start register out of range");
-        break;
-      default: {
-        // Generic register checks for remaining three-register forms.
-        if (!CheckReg(I.A, true) || !CheckReg(I.B, true) ||
-            !CheckReg(I.C, true))
-          return Err(At, "register out of range");
-        break;
-      }
-      }
+      auto At = [&] { return Where + " @" + std::to_string(II); };
+      if (static_cast<size_t>(I.Op) >= NumOpcodes)
+        return Err(At(), "unknown opcode");
+      if (std::string What = operandError(*this, F, I); !What.empty())
+        return Err(At(), opInfo(I.Op).Mnemonic + (": " + What));
     }
   }
   return std::string();

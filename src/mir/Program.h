@@ -59,9 +59,11 @@ struct Program {
   /// Looks up a function by name; returns ~0u when absent.
   FuncId findFunction(const std::string &Name) const;
 
-  /// Structural sanity checks (register bounds, branch targets, class and
-  /// function references, monitor pairing heuristics). Returns an empty
-  /// string when the program is well-formed, else a diagnostic.
+  /// Structural sanity checks: every operand against its role in the
+  /// opcode table (registers and `_`, branch targets, what the immediate
+  /// indexes, call arity). Returns an empty string when the program is
+  /// well-formed, else a diagnostic; an operand's names its instruction as
+  /// "function 'F' @N: op: what".
   std::string verify() const;
 
   /// Pretty-prints the whole program (for examples and debugging).
